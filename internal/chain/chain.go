@@ -817,6 +817,10 @@ func (c *Chain) applyTransaction(st exec.TxState, tx *types.Transaction, coinbas
 		if gas == 0 {
 			gas = c.cfg.GasPerTx
 		}
+		// tx.Gas is sender-chosen: without this cap a looping contract given
+		// MaxUint64 would run ~2^63 steps on every miner. No call can spend
+		// more than a whole block holds.
+		gas = min(gas, c.cfg.GasLimit)
 		res, err := contract.Execute(&contract.Context{
 			State:    st,
 			Contract: tx.To,

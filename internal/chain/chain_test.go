@@ -3,6 +3,7 @@ package chain
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"contractshard/internal/contract"
@@ -329,6 +330,53 @@ func TestContractRevertKeepsFee(t *testing.T) {
 	}
 	if st.GetNonce(f.alice.Address()) != 1 {
 		t.Fatal("revert must still consume the nonce")
+	}
+}
+
+// TestContractGasCappedAtBlockLimit: a call's sender-chosen gas budget is
+// capped at the block gas limit. Uncapped, Gas = MaxUint64 on a contract
+// that loops forever would run ~2^63 VM steps inside BuildBlock, and again
+// in every validator's AddBlock.
+func TestContractGasCappedAtBlockLimit(t *testing.T) {
+	f := newFixture(t)
+	contractAddr := types.BytesToAddress([]byte{0xC0})
+	spin := []byte{byte(contract.PUSH), 0, byte(contract.JUMP)} // PUSH 0; JUMP
+	genesis := func() *Chain {
+		c, err := NewWithContracts(testConfig(1),
+			map[types.Address]uint64{f.alice.Address(): 1_000_000},
+			map[types.Address][]byte{contractAddr: spin})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	miner, validator := genesis(), genesis()
+	tx := &types.Transaction{
+		Nonce: 0, From: f.alice.Address(), To: contractAddr,
+		Value: 500, Fee: 10, Gas: math.MaxUint64, Data: []byte{1},
+	}
+	if err := crypto.SignTx(tx, f.alice); err != nil {
+		t.Fatal(err)
+	}
+	block, receipts, err := miner.BuildBlock(f.miner, []*types.Transaction{tx}, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(receipts) != 1 {
+		t.Fatalf("%d receipts, want the call included", len(receipts))
+	}
+	r := receipts[0]
+	if r.Status != types.ReceiptReverted || r.Err != contract.ErrOutOfGas.Error() {
+		t.Fatalf("receipt: %+v, want an out-of-gas revert", r)
+	}
+	if limit := miner.Config().GasLimit; r.GasUsed != limit {
+		t.Fatalf("gas used %d, want the block limit %d", r.GasUsed, limit)
+	}
+	if err := validator.AddBlock(block); err != nil {
+		t.Fatalf("validator rejected the block: %v", err)
+	}
+	if validator.HeadState().Root() != block.Header.StateRoot {
+		t.Fatal("validator's post-state differs from the block's root")
 	}
 }
 

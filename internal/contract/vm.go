@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 
 	"contractshard/internal/types"
 )
@@ -162,260 +163,191 @@ type Result struct {
 	Reverted bool
 }
 
+// stacks recycles VM stacks: a fresh 8 KB array would be zeroed on every
+// call, which costs more than a short contract such as
+// UnconditionalTransfer takes to run. Words above the stack pointer are
+// never read, so a recycled stack needs no clearing.
+var stacks = sync.Pool{New: func() any { return new([maxStack]word) }}
+
 // Execute runs the contract code at ctx.Contract. The caller (the chain's
 // transaction processor) is responsible for escrow crediting and for
 // snapshotting state so a revert or error can be rolled back.
+//
+// The code is decoded once per distinct byte string (decode.go) and run on
+// a fixed-size stack of limb words. Each op is checked in this order:
+// invalid opcode, then gas, then stack underflow and overflow, then the
+// op's own failure.
 func Execute(ctx *Context, code []byte) (*Result, error) {
+	prog := decoded.get(code)
 	res := &Result{}
-	var stack []Word
 	gas := ctx.Gas
-
-	use := func(n uint64) error {
-		if gas < n {
-			gas = 0
-			res.GasUsed = ctx.Gas
-			return ErrOutOfGas
-		}
-		gas -= n
-		return nil
-	}
-	pop := func() (Word, error) {
-		if len(stack) == 0 {
-			return Word{}, ErrStackUnderflow
-		}
-		w := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		return w, nil
-	}
-	push := func(w Word) error {
-		if len(stack) >= maxStack {
-			return ErrStackOverflow
-		}
-		stack = append(stack, w)
-		return nil
-	}
-	pop2 := func() (Word, Word, error) {
-		b, err := pop()
-		if err != nil {
-			return Word{}, Word{}, err
-		}
-		a, err := pop()
-		if err != nil {
-			return Word{}, Word{}, err
-		}
-		return a, b, nil
-	}
-	done := func(err error) (*Result, error) {
-		//shardlint:ovflow gas starts at ctx.Gas and only decreases (every charge is bounds-checked by use), so the spent difference cannot underflow
-		res.GasUsed = ctx.Gas - gas
-		return res, err
-	}
+	var err error
+	stack := stacks.Get().(*[maxStack]word)
+	defer stacks.Put(stack)
+	sp := 0 // words on the stack
 
 	pc := 0
-	for pc < len(code) {
-		op := Op(code[pc])
-		if op >= opCount {
-			return done(fmt.Errorf("%w: 0x%02x at pc %d", ErrBadOpcode, byte(op), pc))
+loop:
+	for pc < len(prog) {
+		in := &prog[pc]
+		if gas < in.cost {
+			gas = 0
+			err = ErrOutOfGas
+			break
 		}
-		if err := use(gasCost(op)); err != nil {
-			return done(err)
+		gas -= in.cost
+		if sp < int(in.minSP) {
+			err = ErrStackUnderflow
+			break
 		}
-		pc++
-		switch op {
+		if sp > int(in.maxSP) {
+			err = ErrStackOverflow
+			break
+		}
+		at := pc
+		pc = in.next
+		switch in.op {
 		case STOP:
-			return done(nil)
+			break loop
+		case opBad:
+			err = fmt.Errorf("%w: 0x%02x at pc %d", ErrBadOpcode, code[at], at)
+			break loop
+		case opTruncPush:
+			err = ErrTruncatedPush
+			break loop
 		case PUSH:
-			if pc >= len(code) {
-				return done(ErrTruncatedPush)
-			}
-			n := int(code[pc])
-			pc++
-			if n > 32 || pc+n > len(code) {
-				return done(ErrTruncatedPush)
-			}
-			var w Word
-			copy(w[32-n:], code[pc:pc+n])
-			pc += n
-			if err := push(w); err != nil {
-				return done(err)
-			}
+			stack[sp] = in.imm
+			sp++
 		case POP:
-			if _, err := pop(); err != nil {
-				return done(err)
-			}
+			sp--
 		case DUP:
-			if len(stack) == 0 {
-				return done(ErrStackUnderflow)
-			}
-			if err := push(stack[len(stack)-1]); err != nil {
-				return done(err)
-			}
+			stack[sp] = stack[sp-1]
+			sp++
 		case SWAP:
-			if len(stack) < 2 {
-				return done(ErrStackUnderflow)
+			stack[sp-1], stack[sp-2] = stack[sp-2], stack[sp-1]
+		case ADD:
+			sp--
+			stack[sp-1] = word{stack[sp-1][0] + stack[sp][0]}
+		case SUB:
+			sp--
+			stack[sp-1] = word{stack[sp-1][0] - stack[sp][0]}
+		case MUL:
+			sp--
+			stack[sp-1] = word{stack[sp-1][0] * stack[sp][0]}
+		case DIV:
+			sp--
+			if d := stack[sp][0]; d == 0 {
+				stack[sp-1] = word{}
+			} else {
+				stack[sp-1] = word{stack[sp-1][0] / d}
 			}
-			stack[len(stack)-1], stack[len(stack)-2] = stack[len(stack)-2], stack[len(stack)-1]
-		case ADD, SUB, MUL, DIV, MOD, LT, GT, EQ, AND, OR:
-			a, b, err := pop2()
-			if err != nil {
-				return done(err)
+		case MOD:
+			sp--
+			if d := stack[sp][0]; d == 0 {
+				stack[sp-1] = word{}
+			} else {
+				stack[sp-1] = word{stack[sp-1][0] % d}
 			}
-			var out Word
-			switch op {
-			case ADD:
-				out = WordFromU64(a.U64() + b.U64())
-			case SUB:
-				out = WordFromU64(a.U64() - b.U64())
-			case MUL:
-				out = WordFromU64(a.U64() * b.U64())
-			case DIV:
-				if b.U64() == 0 {
-					out = Word{}
-				} else {
-					out = WordFromU64(a.U64() / b.U64())
-				}
-			case MOD:
-				if b.U64() == 0 {
-					out = Word{}
-				} else {
-					out = WordFromU64(a.U64() % b.U64())
-				}
-			case LT:
-				out = WordFromBool(a.U64() < b.U64())
-			case GT:
-				out = WordFromBool(a.U64() > b.U64())
-			case EQ:
-				out = WordFromBool(a == b)
-			case AND:
-				out = WordFromBool(!a.IsZero() && !b.IsZero())
-			case OR:
-				out = WordFromBool(!a.IsZero() || !b.IsZero())
-			}
-			if err := push(out); err != nil {
-				return done(err)
-			}
+		case LT:
+			sp--
+			stack[sp-1] = boolWord(stack[sp-1][0] < stack[sp][0])
+		case GT:
+			sp--
+			stack[sp-1] = boolWord(stack[sp-1][0] > stack[sp][0])
+		case EQ:
+			sp--
+			stack[sp-1] = boolWord(stack[sp-1] == stack[sp])
+		case AND:
+			sp--
+			stack[sp-1] = boolWord(!stack[sp-1].isZero() && !stack[sp].isZero())
+		case OR:
+			sp--
+			stack[sp-1] = boolWord(!stack[sp-1].isZero() || !stack[sp].isZero())
 		case ISZERO, NOT:
-			a, err := pop()
-			if err != nil {
-				return done(err)
-			}
-			if err := push(WordFromBool(a.IsZero())); err != nil {
-				return done(err)
-			}
+			stack[sp-1] = boolWord(stack[sp-1].isZero())
 		case JUMP:
-			dest, err := pop()
-			if err != nil {
-				return done(err)
-			}
-			d := dest.U64()
+			sp--
 			// d == len(code) is out of range too: landing one past the end
 			// would fall out of the loop as a silent STOP, turning a
 			// corrupted destination into a successful call.
+			d := stack[sp][0]
 			if d >= uint64(len(code)) {
-				return done(fmt.Errorf("%w: %d", ErrBadJump, d))
+				err = fmt.Errorf("%w: %d", ErrBadJump, d)
+				break loop
 			}
 			pc = int(d)
 		case JUMPI:
-			dest, cond, err := func() (Word, Word, error) {
-				c, err := pop()
-				if err != nil {
-					return Word{}, Word{}, err
-				}
-				d, err := pop()
-				return d, c, err
-			}()
-			if err != nil {
-				return done(err)
-			}
-			if !cond.IsZero() {
-				d := dest.U64()
+			sp -= 2
+			if !stack[sp+1].isZero() {
+				d := stack[sp][0]
 				if d >= uint64(len(code)) {
-					return done(fmt.Errorf("%w: %d", ErrBadJump, d))
+					err = fmt.Errorf("%w: %d", ErrBadJump, d)
+					break loop
 				}
 				pc = int(d)
 			}
 		case CALLER:
-			if err := push(WordFromAddr(ctx.Caller)); err != nil {
-				return done(err)
-			}
+			stack[sp] = limbs(WordFromAddr(ctx.Caller))
+			sp++
 		case CALLVALUE:
-			if err := push(WordFromU64(ctx.Value)); err != nil {
-				return done(err)
-			}
+			stack[sp] = word{ctx.Value}
+			sp++
 		case CALLDATALOAD:
-			off, err := pop()
-			if err != nil {
-				return done(err)
-			}
 			// Bytes past the end of calldata read as zero. The offset is
 			// compared before any addition: o+i would wrap for offsets near
 			// 2^64 and read real calldata where the semantics require zeros.
 			var w Word
-			if o := off.U64(); o < uint64(len(ctx.Data)) {
+			if o := stack[sp-1][0]; o < uint64(len(ctx.Data)) {
 				copy(w[:], ctx.Data[o:])
 			}
-			if err := push(w); err != nil {
-				return done(err)
-			}
+			stack[sp-1] = limbs(w)
 		case CALLDATASIZE:
-			if err := push(WordFromU64(uint64(len(ctx.Data)))); err != nil {
-				return done(err)
-			}
+			stack[sp] = word{uint64(len(ctx.Data))}
+			sp++
 		case BALANCE:
-			a, err := pop()
-			if err != nil {
-				return done(err)
-			}
-			if err := push(WordFromU64(ctx.State.GetBalance(a.Addr()))); err != nil {
-				return done(err)
-			}
+			a := stack[sp-1].toWord()
+			stack[sp-1] = word{ctx.State.GetBalance(a.Addr())}
 		case SELFBALANCE:
-			if err := push(WordFromU64(ctx.State.GetBalance(ctx.Contract))); err != nil {
-				return done(err)
-			}
+			stack[sp] = word{ctx.State.GetBalance(ctx.Contract)}
+			sp++
 		case ADDRESS:
-			if err := push(WordFromAddr(ctx.Contract)); err != nil {
-				return done(err)
-			}
+			stack[sp] = limbs(WordFromAddr(ctx.Contract))
+			sp++
 		case SLOAD:
-			k, err := pop()
-			if err != nil {
-				return done(err)
-			}
-			var w Word
+			k := stack[sp-1].toWord()
 			v := ctx.State.GetStorage(ctx.Contract, k[:])
 			if len(v) > 32 {
 				v = v[:32]
 			}
+			var w Word
 			copy(w[32-len(v):], v)
-			if err := push(w); err != nil {
-				return done(err)
-			}
+			stack[sp-1] = limbs(w)
 		case SSTORE:
-			k, v, err := pop2()
-			if err != nil {
-				return done(err)
-			}
-			if v.IsZero() {
+			sp -= 2
+			k := stack[sp].toWord()
+			if stack[sp+1].isZero() {
 				ctx.State.SetStorage(ctx.Contract, k[:], nil)
 			} else {
+				v := stack[sp+1].toWord()
 				ctx.State.SetStorage(ctx.Contract, k[:], v[:])
 			}
 		case TRANSFER:
-			to, amount, err := pop2()
-			if err != nil {
-				return done(err)
-			}
-			if err := ctx.State.Transfer(ctx.Contract, to.Addr(), amount.U64()); err != nil {
+			sp -= 2
+			to := stack[sp].toWord()
+			if terr := ctx.State.Transfer(ctx.Contract, to.Addr(), stack[sp+1][0]); terr != nil {
 				// Insufficient contract balance reverts rather than aborts,
 				// mirroring a failed EVM CALL.
 				res.Reverted = true
-				return done(fmt.Errorf("%w: %v", ErrReverted, err))
+				err = fmt.Errorf("%w: %v", ErrReverted, terr)
+				break loop
 			}
 		case REVERT:
 			res.Reverted = true
-			return done(ErrReverted)
+			err = ErrReverted
+			break loop
 		}
 	}
-	return done(nil)
+	//shardlint:ovflow gas starts at ctx.Gas and only decreases (every charge is bounds-checked first), so the spent difference cannot underflow
+	res.GasUsed = ctx.Gas - gas
+	return res, err
 }
